@@ -10,7 +10,7 @@
 //! the two frontends cannot drift in semantics.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
 use pfe_core::bounds;
 use pfe_obs::{AttrValue, Counter, Histogram, Recorder, TraceHandle};
@@ -76,6 +76,11 @@ fn kind_index(kind: StatKind) -> usize {
 /// `engine_stage_{plan,cache_probe,compute,materialize}_ns` stage
 /// histograms, and the `engine_cache_*` series owned by the cache. The
 /// legacy [`QueryCounters`]/[`CacheStats`] views read the same handles.
+///
+/// Each stage opens one [`TraceHandle::timed_span`] guard: its two clock
+/// reads feed the stage histogram, the stage span (when traced), and the
+/// per-statistic latency (first stage of a group's start to its
+/// materialize end).
 pub struct QueryExecutor {
     cache: QueryCache,
     recorder: Arc<Recorder>,
@@ -166,8 +171,7 @@ impl QueryExecutor {
         // Plan only the slots that passed the frontend gate; on the
         // common all-open path, plan the request slice directly (no
         // clones).
-        let plan_start = Instant::now();
-        let mut plan_span = trace.span("plan");
+        let mut plan_span = trace.timed_span("plan", &self.stage_plan);
         let plan = if out.iter().all(Option::is_none) {
             plan(snap, queries)
         } else {
@@ -190,24 +194,21 @@ impl QueryExecutor {
         plan_span.attr("queries", queries.len());
         plan_span.attr("groups", plan.groups.len());
         drop(plan_span);
-        self.stage_plan.record_duration(plan_start.elapsed());
         for (slot, e) in plan.errors {
             out[slot] = Some(Err(e));
         }
         for group in &plan.groups {
-            let group_start = Instant::now();
             match self.execute_group(snap, queries, group, trace) {
                 Err(e) => {
                     for m in &group.members {
                         out[m.slot] = Some(Err(e.clone()));
                     }
                 }
-                Ok((value, cached)) => {
+                Ok((value, cached, group_start_ns)) => {
                     let idx = kind_index(group.key.kind);
                     self.stat_queries[idx].add(group.members.len() as u64);
                     let group_size = group.members.len() as u32;
-                    let mat_start = Instant::now();
-                    let mut mat_span = trace.span("materialize");
+                    let mut mat_span = trace.timed_span("materialize", &self.stage_materialize);
                     if mat_span.is_enabled() {
                         mat_span.attr("statistic", group.key.kind.name());
                         mat_span.attr("mask", AttrValue::Hex(group.key.mask));
@@ -218,18 +219,18 @@ impl QueryExecutor {
                     for m in &group.members {
                         out[m.slot] = Some(Ok(materialize(snap, m, &value, cached, group_size)));
                     }
-                    drop(mat_span);
-                    self.stage_materialize.record_duration(mat_start.elapsed());
-                    let elapsed = group_start.elapsed();
+                    // The group ran from its first stage's open to
+                    // materialize's close.
+                    let elapsed_ns =
+                        mat_span.start_ns().saturating_sub(group_start_ns) + mat_span.finish();
                     // Each member observed the group's latency: the
                     // histogram count matches queries served.
-                    let elapsed_ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
                     for _ in &group.members {
                         self.stat_latency[idx].record(elapsed_ns);
                     }
                     let logged = self.recorder.slow_log().record(
                         &format!("query:{}", group.key.kind.name()),
-                        elapsed,
+                        Duration::from_nanos(elapsed_ns),
                         || {
                             let mut detail = vec![
                                 ("mask".to_string(), format!("{:#x}", group.key.mask)),
@@ -275,27 +276,29 @@ impl QueryExecutor {
     }
 
     /// Probe the cache for a group's key, or compute its answer once from
-    /// the snapshot and (re)fill the cache entry.
+    /// the snapshot and (re)fill the cache entry. Also returns the clock
+    /// reading at which the group's first stage opened.
     fn execute_group(
         &self,
         snap: &Snapshot,
         queries: &[Query],
         group: &PlanGroup,
         trace: &TraceHandle,
-    ) -> Result<(CachedAnswer, bool), EngineError> {
+    ) -> Result<(CachedAnswer, bool, u64), EngineError> {
+        let mut group_start_ns = None;
         if group.probe_cache {
-            let probe_start = Instant::now();
-            let mut probe_span = trace.span("cache_probe");
+            let mut probe_span = trace.timed_span("cache_probe", &self.stage_probe);
+            let start_ns = probe_span.start_ns();
             let hit = self.cache.get(&group.key);
             probe_span.attr("hit", hit.is_some());
             drop(probe_span);
-            self.stage_probe.record_duration(probe_start.elapsed());
             if let Some(hit) = hit {
-                return Ok((hit, true));
+                return Ok((hit, true, start_ns));
             }
+            group_start_ns = Some(start_ns);
         }
-        let compute_start = Instant::now();
-        let mut compute_span = trace.span("compute");
+        let mut compute_span = trace.timed_span("compute", &self.stage_compute);
+        let group_start_ns = group_start_ns.unwrap_or(compute_span.start_ns());
         if compute_span.is_enabled() {
             compute_span.attr("statistic", group.key.kind.name());
             compute_span.attr("mask", AttrValue::Hex(group.key.mask));
@@ -349,9 +352,8 @@ impl QueryExecutor {
             }
         };
         drop(compute_span);
-        self.stage_compute.record_duration(compute_start.elapsed());
         self.cache.put(group.key, value.clone());
-        Ok((value, false))
+        Ok((value, false, group_start_ns))
     }
 
     /// Cache hit/miss/occupancy counters.

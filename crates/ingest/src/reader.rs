@@ -26,7 +26,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pfe_obs::{Counter, Histogram, Recorder, Span, TraceHandle};
+use pfe_obs::{Counter, Histogram, Recorder, TraceHandle};
 
 use crate::error::IngestError;
 use crate::parser::{split_fields, RowParser};
@@ -371,8 +371,9 @@ where
         };
         let d = schema.dimension();
         if !self.packed.is_empty() {
-            let span = Span::on(Arc::clone(&self.ins.chunk_latency));
-            let mut chunk_span = self.trace.span("ingest_chunk");
+            let mut chunk_span = self
+                .trace
+                .timed_span("ingest_chunk", &self.ins.chunk_latency);
             if chunk_span.is_enabled() {
                 chunk_span.attr("chunk", self.chunks);
                 chunk_span.attr("rows", self.packed.len());
@@ -380,15 +381,15 @@ where
             }
             sink.push_packed_rows(&self.packed)?;
             drop(chunk_span);
-            drop(span);
             self.ins.rows.add(self.packed.len() as u64);
             self.packed.clear();
             self.chunks += 1;
             self.ins.chunks.inc();
         }
         if !self.dense.is_empty() {
-            let span = Span::on(Arc::clone(&self.ins.chunk_latency));
-            let mut chunk_span = self.trace.span("ingest_chunk");
+            let mut chunk_span = self
+                .trace
+                .timed_span("ingest_chunk", &self.ins.chunk_latency);
             if chunk_span.is_enabled() {
                 chunk_span.attr("chunk", self.chunks);
                 chunk_span.attr("rows", self.dense.len() / d.max(1) as usize);
@@ -396,7 +397,6 @@ where
             }
             sink.push_dense_rows(d, &self.dense)?;
             drop(chunk_span);
-            drop(span);
             self.ins.rows.add(self.dense.len() as u64 / d.max(1) as u64);
             self.dense.clear();
             self.chunks += 1;

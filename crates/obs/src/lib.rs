@@ -1,7 +1,7 @@
 #![deny(missing_docs)]
 //! `pfe-obs` — zero-dependency observability primitives for the serving
 //! path: lock-free counters and gauges, log-bucketed latency histograms
-//! with p50/p90/p99/max extraction, a lightweight span API, and a
+//! with p50/p90/p99/max extraction, request-scoped span trees, and a
 //! ring-buffered slow-query log — all behind one named [`Recorder`]
 //! registry that renders to Prometheus text exposition.
 //!
@@ -11,19 +11,23 @@
 //! back out of this registry, so the `metrics` wire op, the Prometheus
 //! endpoint, and the line-protocol stats ops can never disagree.
 //!
+//! Stages are timed by one mechanism: a [`SpanGuard`] opened with
+//! [`TraceHandle::timed_span`] reads the clock once at open and once at
+//! close, records that elapsed time into the stage histogram on every
+//! request, and into the request's span tree when the request is traced.
+//!
 //! ```
-//! use pfe_obs::Recorder;
+//! use pfe_obs::{Recorder, TraceHandle};
 //! use std::sync::Arc;
 //!
 //! let rec = Arc::new(Recorder::new());
 //! rec.counter("requests").inc();
 //! rec.gauge("in_flight").set(3);
-//! {
-//!     let _span = rec.span("plan"); // records elapsed ns into the
-//!                                   // "plan" histogram on drop
-//! }
-//! let snap = rec.histogram("plan").snapshot();
-//! assert_eq!(snap.count, 1);
+//! let plan = rec.histogram("plan");
+//! let trace = TraceHandle::disabled(); // an untraced request
+//! let elapsed_ns = trace.timed_span("plan", &plan).finish();
+//! let snap = plan.snapshot();
+//! assert_eq!((snap.count, snap.sum), (1, elapsed_ns));
 //! assert!(rec.render_prometheus("pfe").contains("pfe_requests_total 1"));
 //! ```
 
@@ -31,7 +35,7 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 mod trace;
 
@@ -266,35 +270,6 @@ impl Histogram {
     }
 }
 
-/// An RAII timer: records elapsed nanoseconds into its histogram when
-/// dropped. Created by [`Recorder::span`] or [`Span::on`].
-pub struct Span {
-    hist: Arc<Histogram>,
-    start: Instant,
-}
-
-impl Span {
-    /// Start a span recording into an explicit histogram handle (avoids
-    /// the registry lookup of [`Recorder::span`] on hot paths).
-    pub fn on(hist: Arc<Histogram>) -> Self {
-        Self {
-            hist,
-            start: Instant::now(),
-        }
-    }
-
-    /// Elapsed time so far.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        self.hist.record_duration(self.start.elapsed());
-    }
-}
-
 /// One slow-operation record: what ran, how long it took, and free-form
 /// provenance detail (query key, covering window, stage breakdown, …).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -461,12 +436,6 @@ impl Recorder {
     /// The histogram registered under `name` (created on first use).
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         Self::get_or_register(&self.histograms, name)
-    }
-
-    /// Start a span that records its elapsed nanoseconds into the `name`
-    /// histogram when dropped.
-    pub fn span(&self, name: &str) -> Span {
-        Span::on(self.histogram(name))
     }
 
     /// The slow-operation ring log.
@@ -720,19 +689,6 @@ mod tests {
         // Distinct kinds under one name do not collide.
         rec.gauge("x").set(9);
         assert_eq!(rec.gauges_snapshot(), vec![("x".to_string(), 9)]);
-    }
-
-    #[test]
-    fn span_records_elapsed_into_named_histogram() {
-        let rec = Recorder::new();
-        {
-            let span = rec.span("plan");
-            std::thread::sleep(Duration::from_millis(2));
-            assert!(span.elapsed() >= Duration::from_millis(2));
-        }
-        let s = rec.histogram("plan").snapshot();
-        assert_eq!(s.count, 1);
-        assert!(s.max >= 2_000_000, "recorded {} ns", s.max);
     }
 
     #[test]

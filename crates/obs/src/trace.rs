@@ -13,8 +13,14 @@
 //!   handle is cheap to clone and thread through call stacks; opening a
 //!   span borrows the handle's parent, and `guard.handle()` yields a
 //!   child-parented handle for the next layer down. A disabled handle
-//!   makes every operation a no-op, so untraced hot paths pay one
-//!   branch.
+//!   makes every span-only operation a no-op, so untraced hot paths pay
+//!   one branch.
+//! - Stage timing: [`TraceHandle::timed_span`] opens a guard that also
+//!   owns a stage [`Histogram`](crate::Histogram). It reads the clock at
+//!   open and close whether or not the trace is enabled, records that
+//!   one `end − start` into the histogram (and into the span tree when
+//!   enabled), and [`SpanGuard::finish`] hands the same value to the
+//!   caller — so a stage's histogram and its span never disagree.
 //! - [`TraceStore`]: a bounded ring of [`CompletedTrace`]s with
 //!   head-sampling — keep 1-in-N traces (N = 0 disables tracing
 //!   entirely), always keep traces marked slow
@@ -47,6 +53,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+
+use crate::Histogram;
 
 /// The process-wide monotonic clock base every span timestamp is
 /// relative to, so spans from different threads and layers order
@@ -319,25 +327,32 @@ impl TraceHandle {
     /// refcount: span open/close is the hot path and the borrow keeps
     /// it free of atomic traffic.
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        match &self.trace {
-            None => SpanGuard {
-                trace: None,
-                id: 0,
-                parent: None,
-                name,
-                start_ns: 0,
-                attr_len: 0,
-                attrs: Default::default(),
+        self.open(name, None)
+    }
+
+    /// Open a stage span that also times `hist`: the clock is read at
+    /// open and close even when this handle is disabled, and the one
+    /// `end − start` is recorded into `hist` (always) and into the trace
+    /// (when enabled). [`SpanGuard::finish`] returns the same value.
+    pub fn timed_span<'a>(&'a self, name: &'static str, hist: &'a Histogram) -> SpanGuard<'a> {
+        self.open(name, Some(hist))
+    }
+
+    fn open<'a>(&'a self, name: &'static str, hist: Option<&'a Histogram>) -> SpanGuard<'a> {
+        let trace = self.trace.as_ref();
+        SpanGuard {
+            id: trace.map_or(0, |t| t.next_id.fetch_add(1, Ordering::Relaxed)),
+            trace,
+            hist,
+            parent: self.parent,
+            name,
+            start_ns: if trace.is_some() || hist.is_some() {
+                now_ns()
+            } else {
+                0
             },
-            Some(t) => SpanGuard {
-                id: t.next_id.fetch_add(1, Ordering::Relaxed),
-                trace: Some(t),
-                parent: self.parent,
-                name,
-                start_ns: now_ns(),
-                attr_len: 0,
-                attrs: Default::default(),
-            },
+            attr_len: 0,
+            attrs: Default::default(),
         }
     }
 
@@ -370,12 +385,15 @@ impl TraceHandle {
 /// never allocates.
 pub const MAX_SPAN_ATTRS: usize = 8;
 
-/// An open span: closes (and records) when dropped. Attributes are
-/// attached while open; [`handle`](SpanGuard::handle) derives a
-/// [`TraceHandle`] whose spans become children of this one.
+/// An open span: closes (and records) when dropped or
+/// [`finish`](SpanGuard::finish)ed. Attributes are attached while open;
+/// [`handle`](SpanGuard::handle) derives a [`TraceHandle`] whose spans
+/// become children of this one.
 #[derive(Debug)]
 pub struct SpanGuard<'a> {
     trace: Option<&'a Arc<ActiveTrace>>,
+    /// The stage histogram of a [`TraceHandle::timed_span`].
+    hist: Option<&'a Histogram>,
     id: u64,
     parent: Option<u64>,
     name: &'static str,
@@ -402,16 +420,34 @@ impl SpanGuard<'_> {
         }
     }
 
-    /// Whether this span records anywhere.
+    /// Whether this span records into a trace.
     pub fn is_enabled(&self) -> bool {
         self.trace.is_some()
     }
-}
 
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(t) = self.trace {
-            let end_ns = now_ns().max(self.start_ns);
+    /// The clock reading at open, in trace-clock nanoseconds (0 for a
+    /// span-only guard on a disabled handle).
+    pub fn start_ns(&self) -> u64 {
+        self.start_ns
+    }
+
+    /// Close the span now and return its elapsed nanoseconds — exactly
+    /// the value recorded into the histogram and the span tree (0 for a
+    /// span-only guard on a disabled handle).
+    pub fn finish(mut self) -> u64 {
+        self.close()
+    }
+
+    fn close(&mut self) -> u64 {
+        if self.trace.is_none() && self.hist.is_none() {
+            return 0;
+        }
+        let end_ns = now_ns().max(self.start_ns);
+        let elapsed = end_ns - self.start_ns;
+        if let Some(h) = self.hist.take() {
+            h.record(elapsed);
+        }
+        if let Some(t) = self.trace.take() {
             let mut buf = t.buf.lock().expect("trace span lock");
             let attr_start = buf.attrs.len() as u32;
             for slot in &mut self.attrs[..self.attr_len as usize] {
@@ -427,6 +463,13 @@ impl Drop for SpanGuard<'_> {
                 attr_len: u32::from(self.attr_len),
             });
         }
+        elapsed
+    }
+}
+
+impl Drop for SpanGuard<'_> {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -761,6 +804,33 @@ mod tests {
         let child = g.handle();
         assert!(!child.is_enabled());
         h.mark_slow();
+    }
+
+    #[test]
+    fn timed_span_feeds_histogram_and_span_from_one_clock() {
+        let hist = Histogram::new();
+        // Disabled trace: the histogram still gets the stage time.
+        let off = TraceHandle::disabled();
+        let g = off.timed_span("plan", &hist);
+        assert!(!g.is_enabled());
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let untraced = g.finish();
+        assert!(untraced >= 1_000_000, "elapsed {untraced} ns");
+        assert_eq!((hist.count(), hist.snapshot().sum), (1, untraced));
+        // Enabled trace: span duration == histogram delta == returned.
+        let store = TraceStore::new(4);
+        let trace = store.begin(Some(TraceContext {
+            trace_id: 3,
+            parent: None,
+        }));
+        let ns = trace.timed_span("plan", &hist).finish();
+        drop(trace.timed_span("plan", &hist)); // drop records too
+        store.finish(trace);
+        let done = store.lookup(3).expect("kept");
+        assert_eq!(done.spans[0].end_ns - done.spans[0].start_ns, ns);
+        let span_sum: u64 = done.spans.iter().map(|s| s.end_ns - s.start_ns).sum();
+        let snap = hist.snapshot();
+        assert_eq!((snap.count, snap.sum), (3, untraced + span_sum));
     }
 
     #[test]

@@ -134,11 +134,13 @@ pub fn from_bytes<T: Persist>(record_kind: u16, bytes: &[u8]) -> Result<T, Persi
     Ok(value)
 }
 
-/// Write `value` to `path` as a framed file, atomically: the bytes go to
-/// a temporary sibling file which is fsynced and then renamed over the
-/// target, so a crash mid-write can never destroy a previous good file
-/// at `path` — the checkpoint either fully replaces it or leaves it
-/// untouched.
+/// Write `value` to `path` as a framed file, atomically and durably: the
+/// bytes go to a temporary sibling file (`<path>.<pid>.<n>.tmp`) which is
+/// fsynced and then renamed over the target, and the parent directory is
+/// fsynced after the rename. A crash mid-write can never destroy a
+/// previous good file at `path` — the checkpoint either fully replaces it
+/// or leaves it untouched — and a power loss after `save` returns cannot
+/// undo the rename.
 ///
 /// # Errors
 /// I/O errors, stringified into [`PersistError::Io`].
@@ -166,12 +168,30 @@ pub fn save<T: Persist, P: AsRef<Path>>(
         file.write_all(&to_bytes(record_kind, value))?;
         file.sync_all()?;
         drop(file);
-        std::fs::rename(&tmp, path)
+        std::fs::rename(&tmp, path)?;
+        sync_parent_dir(path)
     })();
     if result.is_err() {
         std::fs::remove_file(&tmp).ok();
     }
     result?;
+    Ok(())
+}
+
+/// Fsync the directory holding `path`, making a rename into it durable.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let parent = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(parent)?.sync_all()
+}
+
+/// Directories cannot be opened as files here; the rename is as durable
+/// as the platform makes it.
+#[cfg(not(unix))]
+fn sync_parent_dir(_path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 

@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Instant, SystemTime};
+use std::time::{Duration, Instant, SystemTime};
 
 use pfe_engine::{wire, Engine, EngineConfig, EngineError, EngineStats, Json, Query, Snapshot};
 use pfe_obs::{
@@ -783,7 +783,12 @@ impl Dispatcher {
             }
         }
         let dispatch_parent = session_span.handle();
-        let mut dispatch_span = dispatch_parent.span("dispatch");
+        // One guard times the op: its elapsed feeds the
+        // `server_op_latency_ns_{op}` histogram, the `dispatch` span, and
+        // the slow log.
+        let (count, latency) = self.counters.op_handles(canonical);
+        count.inc();
+        let mut dispatch_span = dispatch_parent.timed_span("dispatch", latency);
         dispatch_span.attr(
             "op",
             if canonical == op {
@@ -793,21 +798,16 @@ impl Dispatcher {
             },
         );
         let stage_trace = dispatch_span.handle();
-        let (count, latency) = self.counters.op_handles(canonical);
-        count.inc();
-        let begin = Instant::now();
         let mut reply = match self.dispatch(&op, &req, &stage_trace) {
             Ok(reply) => reply,
             Err(json) => Reply::cont(json),
         };
-        let elapsed = begin.elapsed();
-        drop(dispatch_span);
+        let elapsed = Duration::from_nanos(dispatch_span.finish());
         drop(session_span);
         // Release the derived handles so `finish` holds the last
         // reference and can drain the trace without locking.
         drop(stage_trace);
         drop(dispatch_parent);
-        latency.record_duration(elapsed);
         let logged = self
             .recorder
             .slow_log()

@@ -10,12 +10,14 @@
 //!
 //! * Files are named `snap-<epoch:016x>.pfes`, so lexicographic order is
 //!   epoch order and "the newest snapshot" is one sorted scan.
-//! * A snapshot is written to a dotted temp name and `rename(2)`d into
-//!   place — readers never observe a partial file through the protocol.
-//!   (A *corrupt* file — truncated by a crashed writer before the
-//!   rename, say — is still detected by the snapshot checksum on load;
-//!   the replica keeps serving its previous epoch and logs a typed
-//!   slow-log entry.)
+//! * A snapshot is written with `Snapshot::save_to`: a temp file
+//!   (`snap-….pfes.<pid>.<n>.tmp`, which the `.pfes` suffix check
+//!   ignores) is fsynced, `rename(2)`d into place, and the directory is
+//!   fsynced — readers never observe a partial file through the
+//!   protocol, and a shipped file survives power loss. (A *corrupt*
+//!   file is still detected by the snapshot checksum on load; the
+//!   replica keeps serving its previous epoch and logs a typed slow-log
+//!   entry.)
 //! * Shipped epochs strictly increase: the writer skips shipping when no
 //!   rows arrived since the last ship, and every actual ship cuts a
 //!   fresh snapshot (which bumps the engine epoch). That makes the
@@ -129,10 +131,8 @@ pub fn ship_once(
             }
             let snap = engine.refresh().map_err(|e| e.to_string())?;
             std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-            let final_path = dir.join(snapshot_file_name(snap.epoch()));
-            let tmp_path = dir.join(format!(".snap-{:016x}.tmp", snap.epoch()));
-            snap.save_to(&tmp_path).map_err(|e| e.to_string())?;
-            std::fs::rename(&tmp_path, &final_path).map_err(|e| e.to_string())?;
+            snap.save_to(dir.join(snapshot_file_name(snap.epoch())))
+                .map_err(|e| e.to_string())?;
             *last_rows = Some(rows);
             Ok(Some(snap.epoch()))
         })
@@ -298,6 +298,8 @@ mod tests {
         assert_eq!(parse_epoch(&snapshot_file_name(u64::MAX)), Some(u64::MAX));
         assert_eq!(parse_epoch("snap-0000000000000010.pfes"), Some(16));
         assert_eq!(parse_epoch(".snap-0000000000000010.tmp"), None);
+        // The in-flight temp name `Snapshot::save_to` writes.
+        assert_eq!(parse_epoch("snap-0000000000000010.pfes.42.0.tmp"), None);
         assert_eq!(parse_epoch("snap-10.pfes"), None, "unpadded names rejected");
         assert_eq!(parse_epoch("other.pfes"), None);
         // Zero-padded hex means max-by-epoch == max-by-name.
@@ -315,6 +317,7 @@ mod tests {
             &snapshot_file_name(3),
             &snapshot_file_name(11),
             ".snap-00000000000000ff.tmp",
+            "snap-00000000000000ff.pfes.1.0.tmp",
             "README",
         ] {
             std::fs::write(dir.join(name), b"x").expect("write");
