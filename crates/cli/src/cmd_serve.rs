@@ -1,10 +1,11 @@
-//! `pfe serve` — the wire protocol from the installed binary.
+//! `pfe serve` — the wire protocol from the installed binary, over TCP
+//! (`--listen ADDR`) or stdin/stdout (pipe mode). Both modes run one
+//! `pfe_server::proto::Dispatcher`; `docs/PROTOCOL.md` documents its ops.
 //!
-//! The same dispatcher as `examples/serve.rs`, plus `--resume SNAP`:
-//! the backend comes up pre-installed from a checkpoint (snapshot or
-//! window ring, auto-detected) instead of waiting for a `start`
-//! request, so a server can restart into its durable state in one
-//! command.
+//! `--resume SNAP` brings the backend up pre-installed from a checkpoint
+//! (snapshot or window ring, auto-detected) instead of waiting for a
+//! `start` request, so a server can restart into its durable state in
+//! one command.
 //!
 //! Replication roles (TCP mode only): `--ship DIR` makes this server a
 //! writer that periodically checkpoints into the snapshot directory;
@@ -106,6 +107,9 @@ fn serve_tcp(args: &Args, listen: String) -> Result<i32, String> {
 
 fn serve_pipe(args: &Args) -> Result<i32, String> {
     let dispatcher = Dispatcher::new(args.value("--checkpoint").map(PathBuf::from));
+    if let Some(ms) = args.parse("--slow-ms")? {
+        dispatcher.recorder().slow_log().set_threshold_ms(ms);
+    }
     if let Some(n) = args.parse("--trace-sample")? {
         dispatcher.recorder().trace_store().set_sample(n);
     }

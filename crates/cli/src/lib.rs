@@ -62,7 +62,9 @@ FILE SHAPE (ingest / resume / bench-ingest / verify)
 ENGINE (must repeat the ingest-time values when querying/resuming)
   --shards N --alpha A --kmv-k K --sample-t T --seed S
   --max-subsets M --cache C --fp 2.0,1.5
-  --window ROWS[,TIER_CAP[,MAX_TIERS]]   sliding-window engine (ingest/serve)
+  --window ROWS[,TIER_CAP[,MAX_TIERS]]   sliding-window engine (ingest only;
+                      resume/serve take the engine kind from the checkpoint
+                      or the `start` op)
 
 QUERY
   --op f0|frequency|heavy_hitters|l1_sample|fp
@@ -71,11 +73,15 @@ QUERY
   --json '{...}'      raw wire-protocol request instead of flags
   --batch FILE        one JSON request per line, answered in order
 
-SERVE (TCP mode)
-  --workers N --queue N      dispatch parallelism / extra session headroom
+SERVE (pipe mode without --listen; all flags below apply to both modes
+       unless marked TCP)
+  --resume SNAP              start from a checkpoint (snapshot or window ring)
   --checkpoint SNAP          durable state written on graceful shutdown
-  --metrics ADDR             Prometheus scrape endpoint
-  --max-line BYTES           per-request line cap (default 1 MiB)
+  --slow-ms N                slow-log requests taking >= N ms (slow_log op)
+  --trace-sample N           keep 1-in-N request traces (0 disables)
+  --workers N --queue N      TCP: dispatch parallelism / extra session headroom
+  --metrics ADDR             TCP: Prometheus scrape endpoint
+  --max-line BYTES           TCP: per-request line cap (default 1 MiB)
   --ship DIR [--ship-ms N]   writer role: ship snapshots for replicas
   --replica-of DIR           replica role: watch a writer's snapshot dir
                              (repeatable; engine flags must match writer)

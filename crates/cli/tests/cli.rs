@@ -256,7 +256,7 @@ fn serve_pipe_mode_resumes_a_checkpoint() {
     );
     let mut child = Command::new(env!("CARGO_BIN_EXE_pfe"))
         .current_dir(&dir)
-        .args(["serve", "--resume", "s.pfes"])
+        .args(["serve", "--resume", "s.pfes", "--slow-ms", "7"])
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
@@ -266,18 +266,18 @@ fn serve_pipe_mode_resumes_a_checkpoint() {
         .stdin
         .as_mut()
         .unwrap()
-        .write_all(b"{\"op\":\"f0\",\"cols\":[0,1,2]}\n{\"op\":\"quit\"}\n")
+        .write_all(b"{\"op\":\"f0\",\"cols\":[0,1,2]}\n{\"op\":\"slow_log\"}\n{\"op\":\"quit\"}\n")
         .unwrap();
     let out = child.wait_with_output().expect("serve exits");
     assert_ok(&out, "serve pipe");
-    let first = String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .next()
-        .unwrap()
-        .to_string();
-    let ans = Json::parse(&first).unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let mut lines = stdout.lines();
+    let ans = Json::parse(lines.next().unwrap()).unwrap();
     assert_eq!(ans.get("ok"), Some(&Json::Bool(true)));
     assert!(ans.get("estimate").and_then(Json::as_f64).unwrap() > 0.0);
+    // `--slow-ms` applies in pipe mode as it does over TCP.
+    let slow = Json::parse(lines.next().unwrap()).unwrap();
+    assert_eq!(slow.get("threshold_ms"), Some(&Json::Num(7.0)));
     std::fs::remove_dir_all(&dir).ok();
 }
 

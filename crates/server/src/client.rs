@@ -1,6 +1,7 @@
 //! A small synchronous client for the line-delimited JSON protocol: one
 //! request line out, one response line back, in order. Used by
-//! `examples/client.rs`, the integration tests, and the server benchmark.
+//! `pfe trace`, `pfe replica`, the integration tests, and the server
+//! benchmarks.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -39,7 +39,8 @@
 //!    epochs in while serving, answering bit-identically to the writer
 //!    at the same epoch.
 //! 5. **[`Client`]** — a small synchronous client (one request line out,
-//!    one response line back), the library behind `examples/client.rs`.
+//!    one response line back), the library behind `pfe trace` and
+//!    `pfe replica`.
 //!
 //! A full round trip, in process:
 //!
@@ -64,7 +65,7 @@
 //! running.join().unwrap();
 //! ```
 //!
-//! `examples/serve.rs` (workspace root) runs this server from the command
+//! `pfe serve` (the `pfe-cli` crate) runs this server from the command
 //! line (`--listen`), `benches/server.rs` and `benches/connections.rs`
 //! measure throughput and connection scaling, `scripts/load_test.sh`
 //! drives the writer + replica topology end to end, and `docs/GUIDE.md`

@@ -18,7 +18,9 @@
 //! same technique as the server's `signal(2)` handler). `epoll_event` is
 //! `repr(C, packed)` on x86-64 only — a kernel ABI quirk worth spelling
 //! out because getting it wrong corrupts every second event. On non-Unix
-//! platforms [`Poller::new`] returns `Unsupported`.
+//! platforms [`Poller::new`] returns `Unsupported`. Linux test builds
+//! compile the `poll(2)` backend as well, so the poller tests run
+//! against both backends.
 
 #![allow(unsafe_code)]
 
@@ -72,7 +74,7 @@ pub struct Event {
 }
 
 #[cfg(target_os = "linux")]
-mod sys {
+mod epoll {
     use super::{Event, Interest, RawFd};
     use std::io;
     use std::os::raw::c_int;
@@ -215,13 +217,20 @@ mod sys {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod sys {
+#[cfg(all(unix, any(test, not(target_os = "linux"))))]
+mod poll_fallback {
     use super::{Event, Interest, RawFd};
     use std::collections::BTreeMap;
     use std::io;
     use std::os::raw::{c_int, c_short};
     use std::time::Duration;
+
+    // `nfds_t` is `unsigned long` on Linux, `unsigned int` on the BSDs
+    // and macOS.
+    #[cfg(target_os = "linux")]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::os::raw::c_uint;
 
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -237,7 +246,7 @@ mod sys {
     const POLLHUP: c_short = 0x010;
 
     extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: c_int) -> c_int;
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
     }
 
     /// `poll(2)` fallback: O(n) per wait, fine for the connection counts
@@ -283,7 +292,7 @@ mod sys {
                 None => -1,
                 Some(d) => d.as_millis().min(i32::MAX as u128) as c_int,
             };
-            let ret = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, ms) };
+            let ret = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, ms) };
             if ret < 0 {
                 let e = io::Error::last_os_error();
                 if e.kind() == io::ErrorKind::Interrupted {
@@ -307,6 +316,11 @@ mod sys {
         }
     }
 }
+
+#[cfg(target_os = "linux")]
+use epoll as sys;
+#[cfg(all(unix, not(target_os = "linux")))]
+use poll_fallback as sys;
 
 #[cfg(not(unix))]
 mod sys {
@@ -411,77 +425,94 @@ mod tests {
         (a, b)
     }
 
-    #[test]
-    fn reports_readable_when_bytes_arrive_and_idle_otherwise() {
-        let (mut a, b) = pair();
-        let mut poller = Poller::new(8).expect("poller");
-        poller
-            .register(b.as_raw_fd(), 7, Interest::READ)
-            .expect("register");
-        // Idle: a short wait returns no events.
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .expect("wait");
-        assert!(events.is_empty(), "idle fd produced events: {events:?}");
-        // Bytes arrive: readable under the registered token.
-        a.write_all(b"x").expect("write");
-        poller
-            .wait(&mut events, Some(Duration::from_millis(1000)))
-            .expect("wait");
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 7);
-        assert!(events[0].readable);
+    /// The poller tests, run against one backend type.
+    macro_rules! backend_tests {
+        ($backend:ident, $poller:ty) => {
+            mod $backend {
+                use super::*;
+
+                type Poller = $poller;
+
+                #[test]
+                fn reports_readable_when_bytes_arrive_and_idle_otherwise() {
+                    let (mut a, b) = pair();
+                    let mut poller = Poller::new(8).expect("poller");
+                    poller
+                        .register(b.as_raw_fd(), 7, Interest::READ)
+                        .expect("register");
+                    // Idle: a short wait returns no events.
+                    let mut events = Vec::new();
+                    poller
+                        .wait(&mut events, Some(Duration::from_millis(10)))
+                        .expect("wait");
+                    assert!(events.is_empty(), "idle fd produced events: {events:?}");
+                    // Bytes arrive: readable under the registered token.
+                    a.write_all(b"x").expect("write");
+                    poller
+                        .wait(&mut events, Some(Duration::from_millis(1000)))
+                        .expect("wait");
+                    assert_eq!(events.len(), 1);
+                    assert_eq!(events[0].token, 7);
+                    assert!(events[0].readable);
+                }
+
+                #[test]
+                fn write_interest_is_level_triggered_and_modifiable() {
+                    let (a, mut b) = pair();
+                    let mut poller = Poller::new(8).expect("poller");
+                    poller
+                        .register(b.as_raw_fd(), 1, Interest::READ_WRITE)
+                        .expect("register");
+                    let mut events = Vec::new();
+                    poller
+                        .wait(&mut events, Some(Duration::from_millis(1000)))
+                        .expect("wait");
+                    assert!(
+                        events.iter().any(|e| e.token == 1 && e.writable),
+                        "fresh socket should be writable: {events:?}"
+                    );
+                    // Drop write interest: an idle socket goes quiet again.
+                    poller
+                        .modify(b.as_raw_fd(), 1, Interest::READ)
+                        .expect("modify");
+                    events.clear();
+                    poller
+                        .wait(&mut events, Some(Duration::from_millis(10)))
+                        .expect("wait");
+                    assert!(events.is_empty(), "read-only idle fd woke: {events:?}");
+                    // EOF reports as readable (read() will observe 0).
+                    drop(a);
+                    events.clear();
+                    poller
+                        .wait(&mut events, Some(Duration::from_millis(1000)))
+                        .expect("wait");
+                    assert!(events.iter().any(|e| e.token == 1 && e.readable));
+                    let mut sink = [0u8; 8];
+                    assert_eq!(b.read(&mut sink).expect("eof read"), 0);
+                }
+
+                #[test]
+                fn deregistered_fds_stop_reporting() {
+                    let (mut a, b) = pair();
+                    let mut poller = Poller::new(8).expect("poller");
+                    poller
+                        .register(b.as_raw_fd(), 3, Interest::READ)
+                        .expect("register");
+                    poller.deregister(b.as_raw_fd()).expect("deregister");
+                    a.write_all(b"x").expect("write");
+                    let mut events = Vec::new();
+                    poller
+                        .wait(&mut events, Some(Duration::from_millis(20)))
+                        .expect("wait");
+                    assert!(events.is_empty(), "deregistered fd woke: {events:?}");
+                }
+            }
+        };
     }
 
-    #[test]
-    fn write_interest_is_level_triggered_and_modifiable() {
-        let (a, mut b) = pair();
-        let mut poller = Poller::new(8).expect("poller");
-        poller
-            .register(b.as_raw_fd(), 1, Interest::READ_WRITE)
-            .expect("register");
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(1000)))
-            .expect("wait");
-        assert!(
-            events.iter().any(|e| e.token == 1 && e.writable),
-            "fresh socket should be writable: {events:?}"
-        );
-        // Drop write interest: an idle socket goes quiet again.
-        poller
-            .modify(b.as_raw_fd(), 1, Interest::READ)
-            .expect("modify");
-        events.clear();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .expect("wait");
-        assert!(events.is_empty(), "read-only idle fd woke: {events:?}");
-        // EOF reports as readable (read() will observe 0).
-        drop(a);
-        events.clear();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(1000)))
-            .expect("wait");
-        assert!(events.iter().any(|e| e.token == 1 && e.readable));
-        let mut sink = [0u8; 8];
-        assert_eq!(b.read(&mut sink).expect("eof read"), 0);
-    }
-
-    #[test]
-    fn deregistered_fds_stop_reporting() {
-        let (mut a, b) = pair();
-        let mut poller = Poller::new(8).expect("poller");
-        poller
-            .register(b.as_raw_fd(), 3, Interest::READ)
-            .expect("register");
-        poller.deregister(b.as_raw_fd()).expect("deregister");
-        a.write_all(b"x").expect("write");
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(20)))
-            .expect("wait");
-        assert!(events.is_empty(), "deregistered fd woke: {events:?}");
-    }
+    // The platform's backend through the public type (epoll on Linux),
+    // plus the `poll(2)` fallback on Linux, where it is otherwise unused.
+    backend_tests!(platform, crate::poll::Poller);
+    #[cfg(target_os = "linux")]
+    backend_tests!(poll_fallback, crate::poll::poll_fallback::Poller);
 }

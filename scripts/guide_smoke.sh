@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Smoke-run the docs/GUIDE.md quickstart: build the examples, run the
-# scripted pipe-mode sessions, then a real TCP server + client round
-# trip ending in a wire shutdown with a durable checkpoint. Fails if any
-# response is an error or the checkpoint is missing.
+# Smoke-run the docs/GUIDE.md quickstart against the `pfe` binary: the
+# whole-stream and windowed pipe-mode sessions, then a live TCP server
+# (request session, Prometheus scrape, request tracing) ending in a
+# wire shutdown with a durable checkpoint, then the bulk-data CLI and a
+# writer -> replica round trip. Fails if any response is an error or
+# the checkpoint is missing. Needs no client beyond bash's /dev/tcp.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,42 +12,125 @@ tmpdir=$(mktemp -d)
 trap 'kill ${server_pid:-} ${writer_pid:-} ${replica_pid:-} 2>/dev/null || true; rm -rf "$tmpdir"' EXIT
 
 echo "== build (guide §1)"
-cargo build --release --example serve --example client
+cargo build --release -p pfe-cli
+pfe=target/release/pfe
 
-echo "== pipe-mode demos (guide §5)"
-out=$(cargo run --release --example serve -- --demo 2>/dev/null)
-echo "$out" | grep -q '"bye":true' || { echo "FAIL: demo session did not finish"; exit 1; }
-echo "$out" | grep -q '"ok":false' && { echo "FAIL: demo session had an error response"; exit 1; }
-out=$(cargo run --release --example serve -- --demo-window 2>/dev/null)
-echo "$out" | grep -q '"bye":true' || { echo "FAIL: windowed demo did not finish"; exit 1; }
-echo "$out" | grep -q '"ok":false' && { echo "FAIL: windowed demo had an error response"; exit 1; }
+ingest_lines() { # seed count -> COUNT ingest requests of 500 random 12-bit rows
+    awk -v s="$1" -v n="$2" 'BEGIN {
+        for (l = 0; l < n; l++) {
+            line = "{\"op\":\"ingest\",\"rows\":["
+            for (r = 0; r < 500; r++) {
+                row = "["
+                for (i = 0; i < 12; i++) {
+                    s = (s * 1103515245 + 12345) % 2147483648
+                    row = row (i ? "," : "") (int(s / 65536) % 2)
+                }
+                line = line (r ? "," : "") row "]"
+            }
+            print line "]}"
+        }
+    }'
+}
+wait_addr() { # logfile -> prints "listening on" address
+    local a=""
+    for _ in $(seq 1 100); do
+        a=$(grep -o 'listening on [0-9.:]*' "$1" 2>/dev/null | awk '{print $3}' || true)
+        [ -n "$a" ] && break
+        sleep 0.1
+    done
+    [ -n "$a" ] || { echo "FAIL: server never reported its address" >&2; cat "$1" >&2; exit 1; }
+    echo "$a"
+}
+ask() { # addr request -> prints one reply line
+    local host=${1%:*} port=${1##*:} reply
+    exec 6<>"/dev/tcp/$host/$port"
+    printf '%s\n' "$2" >&6
+    IFS= read -r reply <&6
+    exec 6<&- 6>&-
+    echo "$reply"
+}
+session() { # addr, request lines on stdin -> every reply, until quit closes
+    local host=${1%:*} port=${1##*:}
+    exec 5<>"/dev/tcp/$host/$port"
+    cat >&5
+    cat <&5
+    exec 5<&- 5>&-
+}
 
-echo "== TCP server + client round trip (guide §5)"
+echo "== pipe-mode sessions (guide §5)"
+{
+    echo '{"op":"start","d":12,"q":2,"shards":4,"fp":{"orders":[2.0,1.5]}}'
+    ingest_lines 1 20
+    cat <<'REQ'
+{"op":"snapshot"}
+{"op":"f0","cols":[0,1,2,3,4,5]}
+{"op":"f0","cols":[0,1,2,3,4,5]}
+{"op":"frequency","cols":[0,1],"pattern":[1,1]}
+{"op":"heavy_hitters","cols":[0,1,2],"phi":0.05}
+{"op":"l1_sample","cols":[0,1,2],"k":4,"seed":7}
+{"op":"fp","cols":[0,1,2,3,4,5],"p":2.0}
+{"op":"batch","queries":[{"op":"f0","cols":[0,1,2,3,4,5]},{"op":"f0","cols":[0,1,2,3,4,5,6]}]}
+{"op":"stats"}
+{"op":"server_stats"}
+{"op":"quit"}
+REQ
+} >"$tmpdir/whole.jsonl"
+out=$("$pfe" serve <"$tmpdir/whole.jsonl" 2>/dev/null)
+echo "$out" | grep -q '"bye":true' || { echo "FAIL: pipe session did not finish"; exit 1; }
+echo "$out" | grep -q '"ok":false' && { echo "FAIL: pipe session had an error response"; exit 1; }
+{
+    echo '{"op":"start","d":12,"q":2,"window":{"bucket_rows":512,"tier_cap":4,"max_tiers":6}}'
+    ingest_lines 2 20
+    # The last thousand rows vs the whole retained stream.
+    cat <<'REQ'
+{"op":"heavy_hitters","cols":[0,1,2],"phi":0.05,"window":1000}
+{"op":"heavy_hitters","cols":[0,1,2],"phi":0.05}
+{"op":"f0","cols":[0,1,2,3,4,5],"window":2000}
+{"op":"batch","queries":[{"op":"f0","cols":[0,1],"window":1000},{"op":"f0","cols":[0,1],"window":1001}]}
+{"op":"window_stats"}
+{"op":"quit"}
+REQ
+} >"$tmpdir/window.jsonl"
+out=$("$pfe" serve <"$tmpdir/window.jsonl" 2>/dev/null)
+echo "$out" | grep -q '"bye":true' || { echo "FAIL: windowed session did not finish"; exit 1; }
+echo "$out" | grep -q '"ok":false' && { echo "FAIL: windowed session had an error response"; exit 1; }
+echo "$out" | grep -q '"buckets_per_tier"' || { echo "FAIL: windowed session got no window_stats"; exit 1; }
+
+echo "== TCP server round trip (guide §5)"
 ckpt="$tmpdir/smoke.pfes"
-cargo run --release --example serve -- \
-    --listen 127.0.0.1:0 --workers 2 --queue 4 --checkpoint "$ckpt" \
+"$pfe" serve --listen 127.0.0.1:0 --workers 2 --queue 4 --checkpoint "$ckpt" \
     --metrics 127.0.0.1:0 --slow-ms 50 \
     2>"$tmpdir/serve.err" &
 server_pid=$!
-
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(grep -o 'listening on [0-9.:]*' "$tmpdir/serve.err" 2>/dev/null | awk '{print $3}' || true)
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "FAIL: server never reported its address"; cat "$tmpdir/serve.err"; exit 1; }
+addr=$(wait_addr "$tmpdir/serve.err")
 maddr=$(grep -o 'metrics on [0-9.:]*' "$tmpdir/serve.err" | awk '{print $3}')
 [ -n "$maddr" ] || { echo "FAIL: server never reported its metrics address"; cat "$tmpdir/serve.err"; exit 1; }
 echo "   server at $addr, metrics at $maddr"
 
-out=$(cargo run --release --example client -- "$addr" --demo 2>/dev/null)
-echo "$out" | grep -q '"bye":true' || { echo "FAIL: client demo did not finish"; exit 1; }
-echo "$out" | grep -q '"ok":false' && { echo "FAIL: client demo had an error response"; exit 1; }
-echo "$out" | grep -q '"estimate"' || { echo "FAIL: no statistic answer in client demo"; exit 1; }
-# The demo includes F_p moment queries over the live TCP server; any
-# error reply would have tripped the ok:false check above.
-echo "$out" | grep -q '"op":"fp"' || { echo "FAIL: demo sent no fp query"; exit 1; }
+{
+    echo '{"op":"start","d":12,"q":2,"shards":4,"fp":{"orders":[2.0,1.5]}}'
+    ingest_lines 7 4
+    cat <<'REQ'
+{"op":"snapshot"}
+{"op":"f0","cols":[0,1,2,3,4,5]}
+{"op":"frequency","cols":[0,1],"pattern":[1,1]}
+{"op":"heavy_hitters","cols":[0,1,2],"phi":0.05}
+{"op":"l1_sample","cols":[0,1,2],"k":4,"seed":7}
+{"op":"fp","cols":[0,1,2,3,4,5],"p":2.0}
+{"op":"batch","queries":[{"op":"f0","cols":[0,1]},{"op":"f0","cols":[0,1,2]}]}
+{"op":"stats"}
+{"op":"server_stats"}
+{"op":"quit"}
+REQ
+} >"$tmpdir/tcp.jsonl"
+out=$(session "$addr" <"$tmpdir/tcp.jsonl")
+echo "$out" | grep -q '"bye":true' || { echo "FAIL: TCP session did not finish"; exit 1; }
+echo "$out" | grep -q '"ok":false' && { echo "FAIL: TCP session had an error response"; exit 1; }
+echo "$out" | grep -q '"estimate"' || { echo "FAIL: no statistic answer in TCP session"; exit 1; }
+# An F_p moment query over the live TCP server, on its own connection.
+out=$(ask "$addr" '{"op":"fp","cols":[0,1,2],"p":1.5}')
+echo "$out" | grep -q '"ok":true' || { echo "FAIL: fp query failed: $out"; exit 1; }
+echo "$out" | grep -q '"estimate"' || { echo "FAIL: fp query returned no estimate: $out"; exit 1; }
 
 echo "== Prometheus scrape endpoint (guide §7)"
 # Scrape with bash's /dev/tcp so the check needs no curl/netcat.
@@ -71,14 +156,12 @@ lines=$(grep -c '^pfe_' "$body")
 echo "   scrape OK ($lines metric lines, grammar clean)"
 
 echo "== request tracing (guide §7)"
-cargo build --release -p pfe-cli
-pfe=target/release/pfe
 host=${addr%:*}; port=${addr##*:}
 tid="00000000000000000000000000abc123"
 # A traced query over the live TCP socket: the client-supplied id must
 # come back on the answer.
 exec 4<>"/dev/tcp/$host/$port"
-# Columns the earlier demo queries never touched, so the traced
+# Columns the earlier session's queries never touched, so the traced
 # request misses the answer cache and records a full compute stage.
 printf '{"op":"f0","cols":[7,8,9],"trace":"%s"}\n' "$tid" >&4
 IFS= read -r reply <&4
@@ -104,7 +187,7 @@ grep -q '"cat":"pfe"' "$chrome" || { echo "FAIL: chrome export missing the pfe c
 echo "   tracing OK (echo, span tree, chrome export valid)"
 
 echo "== wire shutdown + durable checkpoint (guide §5)"
-out=$(cargo run --release --example client -- "$addr" --shutdown 2>/dev/null)
+out=$(ask "$addr" '{"op":"shutdown"}')
 echo "$out" | grep -q '"shutdown":true' || { echo "FAIL: shutdown not acknowledged"; exit 1; }
 for _ in $(seq 1 100); do
     kill -0 "$server_pid" 2>/dev/null || break
@@ -115,8 +198,6 @@ wait "$server_pid" 2>/dev/null || true
 [ -s "$ckpt" ] || { echo "FAIL: shutdown checkpoint missing or empty"; exit 1; }
 
 echo "== pfe bulk-data CLI (guide §8)"
-cargo build --release -p pfe-cli
-pfe=target/release/pfe
 csv="$tmpdir/rows.csv"
 # Deterministic 12-column binary CSV (awk LCG, header + 500 rows).
 awk 'BEGIN {
@@ -154,24 +235,6 @@ echo "$out" | grep -q '"ok":true' || { echo "FAIL: pfe verify found a divergence
 echo "   pfe ingest/query/stats/verify OK"
 
 echo "== replication: writer -> replica -> query (guide §9)"
-wait_addr() { # logfile -> prints "listening on" address
-    local a=""
-    for _ in $(seq 1 100); do
-        a=$(grep -o 'listening on [0-9.:]*' "$1" 2>/dev/null | awk '{print $3}' || true)
-        [ -n "$a" ] && break
-        sleep 0.1
-    done
-    [ -n "$a" ] || { echo "FAIL: server never reported its address" >&2; cat "$1" >&2; exit 1; }
-    echo "$a"
-}
-ask() { # addr request -> prints one reply line
-    local host=${1%:*} port=${1##*:} reply
-    exec 6<>"/dev/tcp/$host/$port"
-    printf '%s\n' "$2" >&6
-    IFS= read -r reply <&6
-    exec 6<&- 6>&-
-    echo "$reply"
-}
 shipdir="$tmpdir/ship"
 mkdir -p "$shipdir"
 "$pfe" serve --listen 127.0.0.1:0 --workers 2 --queue 8 \
